@@ -11,7 +11,10 @@ package repro
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/background"
@@ -21,6 +24,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/flightlog"
 	"repro/internal/localize"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/recon"
 	"repro/internal/skymap"
@@ -157,6 +161,53 @@ func BenchmarkStreamTrigger(b *testing.B) {
 		p.Close()
 		for range p.Alerts() {
 		}
+	}
+}
+
+// BenchmarkStreamJournaled measures the per-event cost of the shipping
+// stream configuration — real simulated background, metrics on, an
+// interval-fsync journal — with the trigger disabled, so each op is one
+// event through admission, group-committed journaling, canonicalization
+// and the trigger state. Compare with BenchmarkStreamTrigger's bare path.
+func BenchmarkStreamJournaled(b *testing.B) {
+	det := detector.DefaultConfig()
+	events := background.DefaultModel().Simulate(&det, 1.0, xrand.New(11))
+	sort.SliceStable(events, func(i, j int) bool { return events[i].ArrivalTime < events[j].ArrivalTime })
+	cfg := stream.DefaultConfig(float64(len(events)))
+	cfg.SigmaThreshold = math.Inf(1)
+	cfg.Metrics = obs.NewRegistry()
+
+	var p *stream.Processor
+	var j *flightlog.Journal
+	finish := func() {
+		p.Close()
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		os.RemoveAll(j.Dir())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		if n == 0 {
+			var err error
+			j, err = flightlog.Open(flightlog.Options{Dir: filepath.Join(b.TempDir(), "j"), Sync: flightlog.SyncInterval})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.Journal = j
+			p = stream.New(cfg)
+		}
+		p.Ingest(events[n])
+		n++
+		if n == len(events) {
+			finish()
+			n = 0
+		}
+	}
+	if n != 0 {
+		finish()
 	}
 }
 

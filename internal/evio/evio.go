@@ -13,16 +13,20 @@
 // event because the format's first consumer is the simulation/training
 // loop; a flight build would zero them. TrueHits are not serialized — they
 // exist only for diagnostics inside a single process.
+//
+// One hand-rolled codec (putEventHeader/putHit and their decoders) backs
+// every entry point — Writer, Reader, Marshal, Unmarshal, AppendRecord and
+// Canonical — so they cannot disagree on a single bit.
 package evio
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/detector"
 	"repro/internal/geom"
@@ -34,14 +38,169 @@ var magic = [4]byte{'A', 'D', 'E', 'V'}
 // Version of the on-disk format.
 const Version uint16 = 1
 
+// Encoded sizes of the format's fixed-width parts.
+const (
+	streamHeaderSize = 8
+	eventHeaderSize  = 28
+	hitSize          = 36
+)
+
 // flag bits in the event header.
 const (
 	flagFullyAbsorbed = 1 << 0
 )
 
+var le = binary.LittleEndian
+
+func putF32(b []byte, v float64) { le.PutUint32(b, math.Float32bits(float32(v))) }
+func getF32(b []byte) float64    { return float64(math.Float32frombits(le.Uint32(b))) }
+
+// appendStreamHeader appends the stream header (magic, version, reserved).
+func appendStreamHeader(dst []byte) []byte {
+	dst = append(dst, magic[:]...)
+	return append(dst, byte(Version), byte(Version>>8), 0, 0)
+}
+
+// checkStreamHeader validates a complete stream header.
+func checkStreamHeader(b []byte) error {
+	if [4]byte(b[0:4]) != magic {
+		return fmt.Errorf("evio: bad magic %q", b[0:4])
+	}
+	if ver := le.Uint16(b[4:6]); ver != Version {
+		return fmt.Errorf("evio: unsupported version %d", ver)
+	}
+	return nil
+}
+
+// checkEncodable rejects events the format cannot represent.
+func checkEncodable(ev *detector.Event) error {
+	if len(ev.Hits) > math.MaxUint16 {
+		return fmt.Errorf("evio: event with %d hits exceeds format limit", len(ev.Hits))
+	}
+	return nil
+}
+
+// putEventHeader encodes ev's header into b[:eventHeaderSize]; the hit
+// count must already have passed checkEncodable.
+func putEventHeader(b []byte, ev *detector.Event) {
+	_ = b[eventHeaderSize-1]
+	le.PutUint16(b[0:2], uint16(len(ev.Hits)))
+	b[2] = uint8(ev.Source)
+	var flags uint8
+	if ev.FullyAbsorbed {
+		flags |= flagFullyAbsorbed
+	}
+	b[3] = flags
+	putF32(b[4:8], ev.TrueSource.X)
+	putF32(b[8:12], ev.TrueSource.Y)
+	putF32(b[12:16], ev.TrueSource.Z)
+	putF32(b[16:20], ev.TrueEnergy)
+	le.PutUint64(b[20:28], math.Float64bits(ev.ArrivalTime))
+}
+
+// getEventHeader decodes an event header into *ev (Hits left nil) and
+// returns the event's hit count.
+func getEventHeader(ev *detector.Event, b []byte) int {
+	_ = b[eventHeaderSize-1]
+	*ev = detector.Event{
+		Source:        detector.SourceKind(b[2]),
+		FullyAbsorbed: b[3]&flagFullyAbsorbed != 0,
+		TrueSource:    geom.Vec{X: getF32(b[4:8]), Y: getF32(b[8:12]), Z: getF32(b[12:16])},
+		TrueEnergy:    getF32(b[16:20]),
+		ArrivalTime:   math.Float64frombits(le.Uint64(b[20:28])),
+	}
+	return int(le.Uint16(b[0:2]))
+}
+
+// putHit encodes one hit into b[:hitSize].
+func putHit(b []byte, h *detector.Hit) {
+	_ = b[hitSize-1]
+	putF32(b[0:4], h.Pos.X)
+	putF32(b[4:8], h.Pos.Y)
+	putF32(b[8:12], h.Pos.Z)
+	putF32(b[12:16], h.E)
+	putF32(b[16:20], h.SigmaX)
+	putF32(b[20:24], h.SigmaY)
+	putF32(b[24:28], h.SigmaZ)
+	putF32(b[28:32], h.SigmaE)
+	b[32], b[33], b[34], b[35] = uint8(h.Layer), 0, 0, 0
+}
+
+// getHit decodes one hit from b[:hitSize].
+func getHit(b []byte) detector.Hit {
+	_ = b[hitSize-1]
+	return detector.Hit{
+		Pos:    geom.Vec{X: getF32(b[0:4]), Y: getF32(b[4:8]), Z: getF32(b[8:12])},
+		E:      getF32(b[12:16]),
+		SigmaX: getF32(b[16:20]),
+		SigmaY: getF32(b[20:24]),
+		SigmaZ: getF32(b[24:28]),
+		SigmaE: getF32(b[28:32]),
+		Layer:  int(b[32]),
+	}
+}
+
+// recordSize is the encoded size of ev without a stream header.
+func recordSize(ev *detector.Event) int { return eventHeaderSize + hitSize*len(ev.Hits) }
+
+// appendEvent appends ev's record (header and hits) to dst.
+func appendEvent(dst []byte, ev *detector.Event) ([]byte, error) {
+	if err := checkEncodable(ev); err != nil {
+		return dst, err
+	}
+	off, n := len(dst), recordSize(ev)
+	dst = slices.Grow(dst, n)[:off+n]
+	putEventHeader(dst[off:], ev)
+	off += eventHeaderSize
+	for i := range ev.Hits {
+		putHit(dst[off:], &ev.Hits[i])
+		off += hitSize
+	}
+	return dst, nil
+}
+
+// headerError and hitError report a stream that fails (for a stream held
+// in memory: ends) inside an event header or inside hit i of an event.
+func headerError(err error) error     { return fmt.Errorf("evio: event header: %w", err) }
+func hitError(i int, err error) error { return fmt.Errorf("evio: hit %d: %w", i, err) }
+
+// AppendRecord appends the single-event stream Marshal([]*Event{ev})
+// would produce — the payload the flight journal records per admitted
+// event — to dst, reusing dst's capacity. On error dst is returned
+// unchanged.
+func AppendRecord(dst []byte, ev *detector.Event) ([]byte, error) {
+	out, err := appendEvent(appendStreamHeader(dst), ev)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// Canonical returns a new event equal to the one Unmarshal(Marshal(ev))
+// decodes: hit and ground-truth fields rounded through float32, Source
+// and Layer truncated to a byte, TrueHits dropped. It is the form a
+// journal replay hands the trigger, so live processing of the canonical
+// event is bit-identical to replay. ev is not modified; the error is
+// Marshal's for an event the format cannot hold.
+func Canonical(ev *detector.Event) (*detector.Event, error) {
+	if err := checkEncodable(ev); err != nil {
+		return nil, err
+	}
+	var b [hitSize]byte // also holds the smaller event header
+	putEventHeader(b[:], ev)
+	out := new(detector.Event)
+	out.Hits = make([]detector.Hit, getEventHeader(out, b[:]))
+	for i := range ev.Hits {
+		putHit(b[:], &ev.Hits[i])
+		out.Hits[i] = getHit(b[:])
+	}
+	return out, nil
+}
+
 // Writer streams events to an io.Writer.
 type Writer struct {
 	w      *bufio.Writer
+	buf    []byte // one encoded record, reused
 	wrote  bool
 	closed bool
 }
@@ -57,13 +216,9 @@ func (w *Writer) header() error {
 		return nil
 	}
 	w.wrote = true
-	if _, err := w.w.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(w.w, binary.LittleEndian, Version); err != nil {
-		return err
-	}
-	return binary.Write(w.w, binary.LittleEndian, uint16(0)) // reserved
+	var hdr [streamHeaderSize]byte
+	_, err := w.w.Write(appendStreamHeader(hdr[:0]))
+	return err
 }
 
 // WriteEvent appends one event to the stream.
@@ -71,55 +226,16 @@ func (w *Writer) WriteEvent(ev *detector.Event) error {
 	if w.closed {
 		return errors.New("evio: write after Close")
 	}
-	if len(ev.Hits) > math.MaxUint16 {
-		return fmt.Errorf("evio: event with %d hits exceeds format limit", len(ev.Hits))
+	buf, err := appendEvent(w.buf[:0], ev)
+	if err != nil {
+		return err
 	}
+	w.buf = buf
 	if err := w.header(); err != nil {
 		return err
 	}
-	var flags uint8
-	if ev.FullyAbsorbed {
-		flags |= flagFullyAbsorbed
-	}
-	hdr := struct {
-		NHits      uint16
-		Source     uint8
-		Flags      uint8
-		TrueSrc    [3]float32
-		TrueEnergy float32
-		Arrival    float64
-	}{
-		NHits:      uint16(len(ev.Hits)),
-		Source:     uint8(ev.Source),
-		Flags:      flags,
-		TrueSrc:    [3]float32{float32(ev.TrueSource.X), float32(ev.TrueSource.Y), float32(ev.TrueSource.Z)},
-		TrueEnergy: float32(ev.TrueEnergy),
-		Arrival:    ev.ArrivalTime,
-	}
-	if err := binary.Write(w.w, binary.LittleEndian, &hdr); err != nil {
-		return err
-	}
-	for i := range ev.Hits {
-		h := &ev.Hits[i]
-		rec := struct {
-			Pos    [3]float32
-			E      float32
-			Sigma  [3]float32
-			SigmaE float32
-			Layer  uint8
-			Pad    [3]uint8
-		}{
-			Pos:    [3]float32{float32(h.Pos.X), float32(h.Pos.Y), float32(h.Pos.Z)},
-			E:      float32(h.E),
-			Sigma:  [3]float32{float32(h.SigmaX), float32(h.SigmaY), float32(h.SigmaZ)},
-			SigmaE: float32(h.SigmaE),
-			Layer:  uint8(h.Layer),
-		}
-		if err := binary.Write(w.w, binary.LittleEndian, &rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = w.w.Write(buf)
+	return err
 }
 
 // Close flushes the stream (writing the header even if no events were
@@ -138,6 +254,7 @@ func (w *Writer) Close() error {
 // Reader streams events from an io.Reader.
 type Reader struct {
 	r       *bufio.Reader
+	buf     []byte // one event's hits, reused
 	started bool
 }
 
@@ -146,26 +263,21 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
+// start reads the stream header. An empty stream is a valid stream of no
+// events (io.EOF); a stream that ends inside the header is an error.
 func (r *Reader) start() error {
 	if r.started {
 		return nil
 	}
 	r.started = true
-	var m [4]byte
-	if _, err := io.ReadFull(r.r, m[:]); err != nil {
-		return fmt.Errorf("evio: reading magic: %w", err)
+	var hdr [streamHeaderSize]byte
+	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
+		return fmt.Errorf("evio: stream header: %w", err)
 	}
-	if m != magic {
-		return fmt.Errorf("evio: bad magic %q", m)
-	}
-	var ver, reserved uint16
-	if err := binary.Read(r.r, binary.LittleEndian, &ver); err != nil {
-		return err
-	}
-	if ver != Version {
-		return fmt.Errorf("evio: unsupported version %d", ver)
-	}
-	return binary.Read(r.r, binary.LittleEndian, &reserved)
+	return checkStreamHeader(hdr[:])
 }
 
 // ReadEvent returns the next event, or io.EOF at end of stream.
@@ -173,49 +285,30 @@ func (r *Reader) ReadEvent() (*detector.Event, error) {
 	if err := r.start(); err != nil {
 		return nil, err
 	}
-	var hdr struct {
-		NHits      uint16
-		Source     uint8
-		Flags      uint8
-		TrueSrc    [3]float32
-		TrueEnergy float32
-		Arrival    float64
-	}
-	if err := binary.Read(r.r, binary.LittleEndian, &hdr); err != nil {
-		if errors.Is(err, io.EOF) {
+	var hdr [eventHeaderSize]byte
+	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+		if err == io.EOF {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("evio: event header: %w", err)
+		return nil, headerError(err)
 	}
-	ev := &detector.Event{
-		Source:        detector.SourceKind(hdr.Source),
-		TrueSource:    geom.Vec{X: float64(hdr.TrueSrc[0]), Y: float64(hdr.TrueSrc[1]), Z: float64(hdr.TrueSrc[2])},
-		TrueEnergy:    float64(hdr.TrueEnergy),
-		ArrivalTime:   hdr.Arrival,
-		FullyAbsorbed: hdr.Flags&flagFullyAbsorbed != 0,
-		Hits:          make([]detector.Hit, hdr.NHits),
+	nHits := int(le.Uint16(hdr[0:2]))
+	if need := hitSize * nHits; cap(r.buf) < need {
+		r.buf = make([]byte, need)
 	}
+	buf := r.buf[:hitSize*nHits]
+	if n, err := io.ReadFull(r.r, buf); err != nil {
+		if err == io.EOF {
+			// The header promised hits: running out here is a truncation,
+			// never a clean end of stream.
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, hitError(n/hitSize, err)
+	}
+	ev := new(detector.Event)
+	ev.Hits = make([]detector.Hit, getEventHeader(ev, hdr[:]))
 	for i := range ev.Hits {
-		var rec struct {
-			Pos    [3]float32
-			E      float32
-			Sigma  [3]float32
-			SigmaE float32
-			Layer  uint8
-			Pad    [3]uint8
-		}
-		if err := binary.Read(r.r, binary.LittleEndian, &rec); err != nil {
-			return nil, fmt.Errorf("evio: hit %d: %w", i, err)
-		}
-		ev.Hits[i] = detector.Hit{
-			Pos:    geom.Vec{X: float64(rec.Pos[0]), Y: float64(rec.Pos[1]), Z: float64(rec.Pos[2])},
-			E:      float64(rec.E),
-			SigmaX: float64(rec.Sigma[0]),
-			SigmaY: float64(rec.Sigma[1]),
-			SigmaZ: float64(rec.Sigma[2]),
-			SigmaE: float64(rec.SigmaE),
-			Layer:  int(rec.Layer),
-		}
+		ev.Hits[i] = getHit(buf[i*hitSize:])
 	}
 	return ev, nil
 }
@@ -251,15 +344,85 @@ func WriteAll(w io.Writer, events []*detector.Event) error {
 // event or exposure). The encoding is deterministic: equal event lists
 // produce equal bytes.
 func Marshal(events []*detector.Event) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteAll(&buf, events); err != nil {
-		return nil, err
+	size := streamHeaderSize
+	for _, ev := range events {
+		size += recordSize(ev)
 	}
-	return buf.Bytes(), nil
+	out := appendStreamHeader(make([]byte, 0, size))
+	for _, ev := range events {
+		var err error
+		if out, err = appendEvent(out, ev); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Unmarshal decodes a stream produced by Marshal (or any evio stream held
-// in memory).
+// in memory) straight from data; its events and errors match
+// NewReader(bytes.NewReader(data)).ReadAll(). A first pass frames the
+// records, so the decode pass allocates all events and all hits at once —
+// a single-event journal record decodes with two allocations.
 func Unmarshal(data []byte) ([]*detector.Event, error) {
-	return NewReader(bytes.NewReader(data)).ReadAll()
+	if len(data) == 0 {
+		return nil, nil
+	}
+	if len(data) < streamHeaderSize {
+		return nil, fmt.Errorf("evio: stream header: %w", io.ErrUnexpectedEOF)
+	}
+	if err := checkStreamHeader(data); err != nil {
+		return nil, err
+	}
+	body := data[streamHeaderSize:]
+	var nEvents, nHits int
+	var ferr error
+	for rest := body; len(rest) > 0; {
+		if len(rest) < eventHeaderSize {
+			ferr = headerError(io.ErrUnexpectedEOF)
+			break
+		}
+		n := int(le.Uint16(rest[0:2]))
+		if len(rest) < eventHeaderSize+hitSize*n {
+			ferr = hitError((len(rest)-eventHeaderSize)/hitSize, io.ErrUnexpectedEOF)
+			break
+		}
+		nEvents++
+		nHits += n
+		rest = rest[eventHeaderSize+hitSize*n:]
+	}
+	if nEvents == 0 {
+		return nil, ferr
+	}
+	out, events := newEvents(nEvents)
+	hits := make([]detector.Hit, nHits)
+	for i, rest := 0, body; i < nEvents; i++ {
+		ev := &events[i]
+		n := getEventHeader(ev, rest)
+		ev.Hits, hits = hits[:n:n], hits[n:]
+		rest = rest[eventHeaderSize:]
+		for k := range ev.Hits {
+			ev.Hits[k] = getHit(rest[k*hitSize:])
+		}
+		rest = rest[hitSize*n:]
+	}
+	return out, ferr
+}
+
+// newEvents allocates n zero events and the slice of pointers to them; a
+// single event shares one allocation with its pointer.
+func newEvents(n int) ([]*detector.Event, []detector.Event) {
+	if n == 1 {
+		one := &struct {
+			ptr [1]*detector.Event
+			ev  [1]detector.Event
+		}{}
+		one.ptr[0] = &one.ev[0]
+		return one.ptr[:], one.ev[:]
+	}
+	events := make([]detector.Event, n)
+	out := make([]*detector.Event, n)
+	for i := range events {
+		out[i] = &events[i]
+	}
+	return out, events
 }

@@ -129,6 +129,9 @@ type Stats struct {
 	TotalBytes int64
 	// Appended counts records appended through this handle.
 	Appended int64
+	// Syncs counts fsyncs issued through this handle: by the sync policy,
+	// at segment rotation, and by Sync and Close.
+	Syncs int64
 	// RecoveredTruncation reports how many bytes Open cut from a torn
 	// tail (0 for a clean journal).
 	RecoveredTruncation int64
@@ -146,6 +149,8 @@ type Journal struct {
 	segBorn   time.Time
 	unsynced  int64
 	appended  int64
+	syncs     int64
+	wbuf      []byte // framing buffer, reused across appends
 	recovered int64
 	closed    bool
 }
@@ -259,52 +264,99 @@ func (j *Journal) writeHeader() error {
 }
 
 // Append frames payload into one record and appends it to the active
-// segment, rotating and applying retention first if the segment is full.
+// segment with a single write, rotating and applying retention first if
+// the segment is full.
 func (j *Journal) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("flightlog: record of %d bytes exceeds MaxRecordBytes", len(payload))
+	return j.AppendBatch([][]byte{payload})
+}
+
+// AppendBatch appends payloads as consecutive records — group commit. The
+// segment files end up byte-identical to calling Append on each payload
+// in turn: rotation and retention are still decided before every record.
+// Each segment the batch touches gets one write, and the sync policy is
+// applied once, after the batch (SyncAlways: one fsync before returning;
+// SyncInterval: one if the unsynced bytes reached the threshold). A batch
+// holding a payload over MaxRecordBytes is rejected before anything is
+// written.
+func (j *Journal) AppendBatch(payloads [][]byte) error {
+	for _, p := range payloads {
+		if len(p) > MaxRecordBytes {
+			return fmt.Errorf("flightlog: record of %d bytes exceeds MaxRecordBytes", len(p))
+		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return errors.New("flightlog: append after Close")
 	}
-	if j.segBytes >= j.opts.SegmentBytes ||
-		(j.opts.SegmentMaxAge > 0 && j.segBytes > headerSize &&
-			j.opts.Now().Sub(j.segBorn) >= j.opts.SegmentMaxAge) {
-		if err := j.rotateLocked(); err != nil {
-			return err
+	buf, records := j.wbuf[:0], int64(0)
+	for _, p := range payloads {
+		if pending := j.segBytes + int64(len(buf)); pending >= j.opts.SegmentBytes ||
+			(j.opts.SegmentMaxAge > 0 && pending > headerSize &&
+				j.opts.Now().Sub(j.segBorn) >= j.opts.SegmentMaxAge) {
+			if err := j.writeLocked(buf, records); err != nil {
+				return err
+			}
+			buf, records = buf[:0], 0
+			if err := j.rotateLocked(); err != nil {
+				return err
+			}
 		}
+		off := len(buf)
+		buf = append(buf, make([]byte, frameSize)...)
+		binary.LittleEndian.PutUint32(buf[off:], uint32(len(p)))
+		binary.LittleEndian.PutUint32(buf[off+4:], crc32.ChecksumIEEE(p))
+		buf = append(buf, p...)
+		records++
 	}
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := j.f.Write(frame[:]); err != nil {
+	if err := j.writeLocked(buf, records); err != nil {
 		return err
 	}
-	if _, err := j.f.Write(payload); err != nil {
-		return err
+	if cap(buf) <= maxRetainedBuf {
+		j.wbuf = buf[:0]
 	}
-	n := int64(frameSize + len(payload))
-	j.segBytes += n
-	j.appended++
 	switch j.opts.Sync {
 	case SyncAlways:
-		return j.f.Sync()
+		return j.syncLocked()
 	case SyncInterval:
-		j.unsynced += n
 		if j.unsynced >= j.opts.SyncEveryBytes {
-			j.unsynced = 0
-			return j.f.Sync()
+			return j.syncLocked()
 		}
 	}
 	return nil
 }
 
+// maxRetainedBuf caps the framing buffer a journal keeps between appends.
+const maxRetainedBuf = 4 << 20
+
+// writeLocked writes framed records to the active segment in one write.
+// segBytes follows what reached the file even when the write fails part
+// way, so it always matches the bytes on disk. Caller holds j.mu.
+func (j *Journal) writeLocked(buf []byte, records int64) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	n, err := j.f.Write(buf)
+	j.segBytes += int64(n)
+	j.unsynced += int64(n)
+	if err != nil {
+		return err
+	}
+	j.appended += records
+	return nil
+}
+
+// syncLocked fsyncs the active segment. Caller holds j.mu.
+func (j *Journal) syncLocked() error {
+	j.unsynced = 0
+	j.syncs++
+	return j.f.Sync()
+}
+
 // rotateLocked seals the active segment, applies retention, and opens the
 // next one. Caller holds j.mu.
 func (j *Journal) rotateLocked() error {
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncLocked(); err != nil {
 		return err
 	}
 	if err := j.f.Close(); err != nil {
@@ -313,7 +365,6 @@ func (j *Journal) rotateLocked() error {
 	if err := j.applyRetentionLocked(); err != nil {
 		return err
 	}
-	j.unsynced = 0
 	return j.openSegment(j.seq + 1)
 }
 
@@ -358,8 +409,7 @@ func (j *Journal) Sync() error {
 	if j.closed {
 		return nil
 	}
-	j.unsynced = 0
-	return j.f.Sync()
+	return j.syncLocked()
 }
 
 // Close syncs and closes the active segment. The journal can be reopened
@@ -371,7 +421,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncLocked(); err != nil {
 		j.f.Close()
 		return err
 	}
@@ -386,6 +436,7 @@ func (j *Journal) Stats() Stats {
 		ActiveSeq:           j.seq,
 		ActiveBytes:         j.segBytes,
 		Appended:            j.appended,
+		Syncs:               j.syncs,
 		RecoveredTruncation: j.recovered,
 	}
 	seqs, err := listSegments(j.opts.Dir)

@@ -51,6 +51,7 @@ const (
 	CtrAlerts        = "stream_alerts_emitted"
 	CtrAlertsDropped = "stream_alerts_dropped"
 	CtrJournalErrors = "stream_journal_errors"
+	CtrWindowEvicted = "stream_window_evicted"
 	GaugeOccupancy   = "stream_ring_occupancy"
 	GaugeRate        = "stream_bkg_rate_hz"
 	StageLocalize    = "stream_localize"
@@ -102,7 +103,8 @@ type Config struct {
 
 	// BufferEvents is the ring-buffer capacity (default 65536); it must
 	// cover PreTriggerSec+BurstWindowSec of data at burst rates or the
-	// oldest window events are lost (counted, never fatal).
+	// oldest window events are lost (counted under CtrWindowEvicted, never
+	// fatal).
 	BufferEvents int
 	// QueueEvents is the ingest-channel capacity (default 4096). Offer
 	// drops (and counts) events when it is full.
@@ -147,6 +149,8 @@ type Config struct {
 	Metrics *obs.Registry
 	// Journal, when non-nil, durably records every admitted event before
 	// it is processed, so a crash can be replayed into the same alerts.
+	// The consumer group-commits: whatever is queued when it wakes is
+	// admitted, appended as one batch, and only then processed.
 	Journal *flightlog.Journal
 }
 
@@ -302,15 +306,6 @@ func (r *ring) oldest() uint64 { return r.next - uint64(r.n) }
 // at returns the event with sequence number seq (must be retained).
 func (r *ring) at(seq uint64) *detector.Event { return r.buf[seq%uint64(len(r.buf))] }
 
-// snapshot copies the retained events oldest-first.
-func (r *ring) snapshot() []*detector.Event {
-	out := make([]*detector.Event, 0, r.n)
-	for seq := r.oldest(); seq != r.next; seq++ {
-		out = append(out, r.at(seq))
-	}
-	return out
-}
-
 // rateEstimator tracks the background event rate as an EWMA over
 // fixed-width event-time bins. All state advances on event time only.
 type rateEstimator struct {
@@ -366,6 +361,12 @@ type Processor struct {
 	done   chan struct{}
 	stop   sync.Once
 
+	// Metric handles, resolved once by New (nil when metrics are off).
+	ctrIngested, ctrDropped, ctrShed, ctrTriggers *obs.Counter
+	ctrAlerts, ctrAlertsDropped, ctrJournalErr    *obs.Counter
+	ctrWindowEvicted                              *obs.Counter
+	gaugeOccupancy, gaugeRate                     *obs.Gauge
+
 	// Consumer-goroutine state (unshared).
 	ring      *ring
 	rate      *rateEstimator
@@ -374,6 +375,12 @@ type Processor struct {
 	deadUntil float64
 	root      *xrand.RNG
 	seq       int
+
+	// Reused per-batch buffers (consumer goroutine only).
+	batch    []*detector.Event // events drained from the queue, then the admitted ones
+	records  []byte            // the admitted events' journal payloads, back to back
+	payloads [][]byte          // views into records, handed to the journal
+	window   []*detector.Event // the burst window fire localizes
 }
 
 // New validates cfg and starts the processor's consumer goroutine. Callers
@@ -387,6 +394,7 @@ func New(cfg Config) *Processor {
 		}
 		cfg.BkgOverride = cls
 	}
+	m := cfg.Metrics
 	p := &Processor{
 		cfg:    cfg,
 		in:     make(chan *detector.Event, cfg.QueueEvents),
@@ -395,6 +403,18 @@ func New(cfg Config) *Processor {
 		ring:   newRing(cfg.BufferEvents),
 		rate:   &rateEstimator{binSec: cfg.RateBinSec, alpha: cfg.RateAlpha, rate: cfg.InitialRate},
 		root:   xrand.New(cfg.Seed),
+		batch:  make([]*detector.Event, 0, cfg.QueueEvents+1),
+
+		ctrIngested:      m.Counter(CtrIngested),
+		ctrDropped:       m.Counter(CtrDropped),
+		ctrShed:          m.Counter(CtrShed),
+		ctrTriggers:      m.Counter(CtrTriggers),
+		ctrAlerts:        m.Counter(CtrAlerts),
+		ctrAlertsDropped: m.Counter(CtrAlertsDropped),
+		ctrJournalErr:    m.Counter(CtrJournalErrors),
+		ctrWindowEvicted: m.Counter(CtrWindowEvicted),
+		gaugeOccupancy:   m.Gauge(GaugeOccupancy),
+		gaugeRate:        m.Gauge(GaugeRate),
 	}
 	go p.consume()
 	return p
@@ -408,7 +428,7 @@ func (p *Processor) Offer(ev *detector.Event) bool {
 	case p.in <- ev:
 		return true
 	default:
-		p.cfg.Metrics.Counter(CtrDropped).Inc()
+		p.ctrDropped.Inc()
 		return false
 	}
 }
@@ -430,11 +450,18 @@ func (p *Processor) Close() {
 }
 
 // consume is the single consumer goroutine: it owns all trigger state.
+// Each wake-up takes the event it was woken for plus whatever else is
+// already queued — at most QueueEvents more — and processes them as one
+// batch.
 func (p *Processor) consume() {
 	defer close(p.done)
 	defer close(p.alerts)
 	for ev := range p.in {
-		p.step(ev)
+		batch := append(p.batch[:0], ev)
+		for n := len(p.in); n > 0; n-- {
+			batch = append(batch, <-p.in)
+		}
+		p.processBatch(batch)
 	}
 	// End of stream: a burst window that was still filling fires with the
 	// data it has, like a flight segment ending mid-burst.
@@ -443,30 +470,68 @@ func (p *Processor) consume() {
 	}
 }
 
-// step advances every piece of trigger state past one admitted event.
-func (p *Processor) step(ev *detector.Event) {
-	m := p.cfg.Metrics
-	if p.cfg.Admit != nil && !p.cfg.Admit(ev) {
-		m.Counter(CtrShed).Inc()
+// processBatch admits a batch in order, journals the admitted events with
+// one group commit, and only then steps the trigger through each of them.
+// Every admitted event is in the journal before any trigger state sees it,
+// so the alerts of a crashed run are the alerts a replay of its journal
+// reproduces.
+func (p *Processor) processBatch(batch []*detector.Event) {
+	admitted := batch[:0]
+	for _, ev := range batch {
+		if p.cfg.Admit != nil && !p.cfg.Admit(ev) {
+			p.ctrShed.Inc()
+			continue
+		}
+		admitted = append(admitted, ev)
+	}
+	p.batch = admitted
+	p.ctrIngested.Add(int64(len(admitted)))
+	if p.cfg.Journal != nil {
+		p.journal(admitted)
+	}
+	for _, ev := range admitted {
+		p.step(ev)
+	}
+	p.gaugeOccupancy.Set(float64(p.ring.n))
+	p.gaugeRate.Set(p.rate.rate)
+}
+
+// journal appends the admitted events to the journal as one batch of
+// single-event evio records, then replaces each journaled event in place
+// with its canonical decoded form: evio stores hit fields as float32, so
+// localizing the original float64 event would diverge from a replay at
+// the last bit. Live and replay must see identical inputs for the alert
+// sequence to reproduce bitwise. An event that cannot be journaled is
+// counted and processed as offered.
+func (p *Processor) journal(events []*detector.Event) {
+	recs, payloads := p.records[:0], p.payloads[:0]
+	for _, ev := range events {
+		start := len(recs)
+		var err error
+		if recs, err = evio.AppendRecord(recs, ev); err != nil {
+			p.ctrJournalErr.Inc()
+			continue
+		}
+		payloads = append(payloads, recs[start:])
+	}
+	err := p.cfg.Journal.AppendBatch(payloads)
+	p.records = recs
+	clear(payloads) // drop views of any outgrown records buffer
+	p.payloads = payloads[:0]
+	if err != nil {
+		p.ctrJournalErr.Add(int64(len(payloads)))
 		return
 	}
-	m.Counter(CtrIngested).Inc()
-
-	if p.cfg.Journal != nil {
-		blob, err := evio.Marshal([]*detector.Event{ev})
-		if err == nil {
-			err = p.cfg.Journal.Append(blob)
-		}
-		if err != nil {
-			m.Counter(CtrJournalErrors).Inc()
-		} else if dec, derr := evio.Unmarshal(blob); derr == nil && len(dec) == 1 {
-			// Process the journaled form: evio stores hit fields as float32,
-			// so localizing the original float64 event would diverge from a
-			// replay at the last bit. Live and replay must see identical
-			// inputs for the alert sequence to reproduce bitwise.
-			ev = dec[0]
+	for i, ev := range events {
+		// Canonical fails exactly where AppendRecord did.
+		if c, err := evio.Canonical(ev); err == nil {
+			events[i] = c
 		}
 	}
+}
+
+// step advances every piece of trigger state past one admitted event.
+func (p *Processor) step(ev *detector.Event) {
 	t := ev.ArrivalTime
 
 	// A pending burst whose window is complete fires before this event
@@ -477,9 +542,11 @@ func (p *Processor) step(ev *detector.Event) {
 
 	frozen := p.pend != nil || t < p.deadUntil
 	p.rate.advance(t, frozen)
+	if p.pend != nil && p.ring.n == len(p.ring.buf) &&
+		p.ring.at(p.ring.oldest()).ArrivalTime >= p.pend.trig-p.cfg.PreTriggerSec {
+		p.ctrWindowEvicted.Inc() // the push below evicts a window event
+	}
 	p.ring.push(ev)
-	m.Gauge(GaugeOccupancy).Set(float64(p.ring.n))
-	m.Gauge(GaugeRate).Set(p.rate.rate)
 
 	// Advance the sliding window: events at or before t−W leave it.
 	if p.winLo < p.ring.oldest() {
@@ -502,7 +569,7 @@ func (p *Processor) step(ev *detector.Event) {
 			count:    count,
 			rate:     p.rate.rate,
 		}
-		m.Counter(CtrTriggers).Inc()
+		p.ctrTriggers.Inc()
 	}
 }
 
@@ -521,11 +588,21 @@ func (p *Processor) fire() {
 	opts.Metrics = p.cfg.Metrics
 	opts.BkgOverride = p.cfg.BkgOverride
 
-	m := p.cfg.Metrics
-	stop := m.StartStage(StageLocalize)
-	res := pipeline.RunWindow(opts, p.ring.snapshot(),
-		pb.trig-p.cfg.PreTriggerSec, pb.deadline, p.root.Split(uint64(p.seq)+1))
+	// One pass over the ring collects the window oldest-first — the order
+	// and contents pipeline.RunWindow would select from the whole ring.
+	t0 := pb.trig - p.cfg.PreTriggerSec
+	window := p.window[:0]
+	for seq := p.ring.oldest(); seq != p.ring.next; seq++ {
+		if ev := p.ring.at(seq); ev.ArrivalTime >= t0 && ev.ArrivalTime < pb.deadline {
+			window = append(window, ev)
+		}
+	}
+
+	stop := p.cfg.Metrics.StartStage(StageLocalize)
+	res := pipeline.Run(opts, window, p.root.Split(uint64(p.seq)+1))
 	stop()
+	clear(window) // keep the reused slice from pinning evicted events
+	p.window = window
 
 	expect := pb.rate * p.cfg.WindowSec
 	alert := Alert{
@@ -533,7 +610,7 @@ func (p *Processor) fire() {
 		TriggerTime:      pb.trig,
 		Significance:     (float64(pb.count) - expect) / math.Sqrt(math.Max(expect, 1)),
 		BackgroundRateHz: pb.rate,
-		NEvents:          countWindow(p.ring, pb.trig-p.cfg.PreTriggerSec, pb.deadline),
+		NEvents:          len(window),
 		Result:           res,
 	}
 	if p.cfg.SkyMap && res.Loc.OK {
@@ -556,21 +633,10 @@ func (p *Processor) fire() {
 	p.seq++
 	select {
 	case p.alerts <- alert:
-		m.Counter(CtrAlerts).Inc()
+		p.ctrAlerts.Inc()
 	default:
-		m.Counter(CtrAlertsDropped).Inc()
+		p.ctrAlertsDropped.Inc()
 	}
-}
-
-// countWindow counts retained events with arrival time in [t0, t1).
-func countWindow(r *ring, t0, t1 float64) int {
-	n := 0
-	for seq := r.oldest(); seq != r.next; seq++ {
-		if t := r.at(seq).ArrivalTime; t >= t0 && t < t1 {
-			n++
-		}
-	}
-	return n
 }
 
 // ReplayJournal feeds every event recorded in the flight journal at dir

@@ -68,9 +68,12 @@ func TestRingEvictsOldest(t *testing.T) {
 	if r.n != 4 || r.oldest() != 6 {
 		t.Fatalf("ring n=%d oldest=%d, want 4, 6", r.n, r.oldest())
 	}
-	snap := r.snapshot()
-	if len(snap) != 4 || snap[0].ArrivalTime != 6 || snap[3].ArrivalTime != 9 {
-		t.Fatalf("snapshot = %v", times(snap))
+	var kept []*detector.Event
+	for seq := r.oldest(); seq != r.next; seq++ {
+		kept = append(kept, r.at(seq))
+	}
+	if kept[0].ArrivalTime != 6 || kept[3].ArrivalTime != 9 {
+		t.Fatalf("retained = %v", times(kept))
 	}
 }
 
