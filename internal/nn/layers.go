@@ -61,27 +61,48 @@ func NewLinear(in, out int, rng *xrand.RNG) *Linear {
 
 // Forward implements Layer.
 func (l *Linear) Forward(x *Tensor, train bool) *Tensor {
-	if x.Cols != l.In {
-		panic(fmt.Sprintf("nn: Linear expects %d inputs, got %d", l.In, x.Cols))
-	}
+	y := NewTensor(x.Rows, l.outCols(x.Cols))
 	if train {
 		l.x = x
 	}
-	y := NewTensor(x.Rows, l.Out)
-	w := l.Weight.W
+	l.infer(y, x, nil)
+	return y
+}
+
+func (l *Linear) outCols(in int) int {
+	if in != l.In {
+		panic(fmt.Sprintf("nn: Linear expects %d inputs, got %d", l.In, in))
+	}
+	return l.Out
+}
+
+// infer writes x·Wᵀ + b into y, four output neurons per dot4 pass and the
+// remainder through dot; either way y[r][o] is dot(x_r, W_o) + b_o bitwise.
+// Training and inference share it, so trained weights do not depend on
+// which path a network was evaluated with.
+func (l *Linear) infer(y, x *Tensor, _ *inferBuf) {
+	w, b, in := l.Weight.W, l.Bias.W, l.In
+	out4 := l.Out &^ 3
+	var acc [4]float32
 	for r := 0; r < x.Rows; r++ {
-		xr := x.Row(r)
-		yr := y.Row(r)
-		for o := 0; o < l.Out; o++ {
-			yr[o] = dot(xr, w[o*l.In:(o+1)*l.In]) + l.Bias.W[o]
+		xr, yr := x.Row(r), y.Row(r)
+		o := 0
+		for ; o < out4; o += 4 {
+			dot4(xr, w[o*in:(o+4)*in], &acc)
+			yr[o] = acc[0] + b[o]
+			yr[o+1] = acc[1] + b[o+1]
+			yr[o+2] = acc[2] + b[o+2]
+			yr[o+3] = acc[3] + b[o+3]
+		}
+		for ; o < l.Out; o++ {
+			yr[o] = dot(xr, w[o*in:(o+1)*in]) + b[o]
 		}
 	}
-	return y
 }
 
 // dot computes Σ a[i]*b[i] with 4-way unrolling; a and b must have equal
 // length. Four independent accumulators let the scalar pipeline overlap the
-// multiply-add chains.
+// multiply-add chains. It is the reference dot4 must match bit for bit.
 func dot(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
 	n := len(a) &^ 3
@@ -178,18 +199,9 @@ func NewBatchNorm1D(dim int) *BatchNorm1D {
 
 // Forward implements Layer.
 func (b *BatchNorm1D) Forward(x *Tensor, train bool) *Tensor {
-	if x.Cols != b.Dim {
-		panic(fmt.Sprintf("nn: BatchNorm1D expects %d features, got %d", b.Dim, x.Cols))
-	}
-	y := NewTensor(x.Rows, x.Cols)
+	y := NewTensor(x.Rows, b.outCols(x.Cols))
 	if !train {
-		for c := 0; c < b.Dim; c++ {
-			inv := float32(1 / math.Sqrt(float64(b.RunVar[c]+b.Eps)))
-			g, bt, mu := b.Gamma.W[c], b.Beta.W[c], b.RunMean[c]
-			for r := 0; r < x.Rows; r++ {
-				y.Set(r, c, (x.At(r, c)-mu)*inv*g+bt)
-			}
-		}
+		b.infer(y, x, new(inferBuf))
 		return y
 	}
 	if x.Rows < 2 {
@@ -226,6 +238,30 @@ func (b *BatchNorm1D) Forward(x *Tensor, train bool) *Tensor {
 		b.RunVar[c] = (1-b.Momentum)*b.RunVar[c] + b.Momentum*unbiased
 	}
 	return y
+}
+
+func (b *BatchNorm1D) outCols(in int) int {
+	if in != b.Dim {
+		panic(fmt.Sprintf("nn: BatchNorm1D expects %d features, got %d", b.Dim, in))
+	}
+	return b.Dim
+}
+
+// infer writes the running-statistics normalization of x into y. Each
+// element is ((x−μ)·inv)·γ+β, rounded to float32 after every operation.
+func (b *BatchNorm1D) infer(y, x *Tensor, buf *inferBuf) {
+	buf.vec = grow(buf.vec, b.Dim)
+	inv := buf.vec
+	for c := range inv {
+		inv[c] = float32(1 / math.Sqrt(float64(b.RunVar[c]+b.Eps)))
+	}
+	g, bt, mu := b.Gamma.W, b.Beta.W, b.RunMean
+	for r := 0; r < x.Rows; r++ {
+		yr := y.Row(r)
+		for c, v := range x.Row(r) {
+			yr[c] = (v-mu[c])*inv[c]*g[c] + bt[c]
+		}
+	}
 }
 
 // Backward implements Layer.
@@ -297,22 +333,30 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward implements Layer.
 func (a *ReLU) Forward(x *Tensor, train bool) *Tensor {
 	y := NewTensor(x.Rows, x.Cols)
+	a.infer(y, x, nil)
 	if train {
 		if cap(a.mask) < len(x.Data) {
 			a.mask = make([]bool, len(x.Data))
 		}
 		a.mask = a.mask[:len(x.Data)]
-	}
-	for i, v := range x.Data {
-		pos := v > 0
-		if pos {
-			y.Data[i] = v
-		}
-		if train {
-			a.mask[i] = pos
+		for i, v := range x.Data {
+			a.mask[i] = v > 0
 		}
 	}
 	return y
+}
+
+func (a *ReLU) outCols(in int) int { return in }
+
+func (a *ReLU) infer(y, x *Tensor, _ *inferBuf) {
+	yd := y.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		if v > 0 {
+			yd[i] = v
+		} else {
+			yd[i] = 0
+		}
+	}
 }
 
 // Backward implements Layer.

@@ -165,7 +165,7 @@ func (t *Trainer) Fit(train, val *Dataset, rng *xrand.RNG) History {
 // Evaluate returns the mean loss over a dataset in eval mode.
 func (t *Trainer) Evaluate(d *Dataset) float64 {
 	d.Check()
-	pred := t.Net.Forward(d.X, false)
+	pred := t.Net.Predict(d.X)
 	dpred := NewTensor(pred.Rows, 1) // gradient discarded
 	return t.Loss.Eval(pred, d.Y, dpred)
 }

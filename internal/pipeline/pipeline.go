@@ -455,23 +455,16 @@ func parallelProbs(cls BkgClassifier, x *nn.Tensor, p *par.Pool) []float32 {
 }
 
 // parallelPredict1 shards single-output regression inference over row
-// ranges, returning one prediction per row of x.
+// ranges, each shard writing its predictions straight into its slice of
+// the result.
 func parallelPredict1(net *nn.Sequential, x *nn.Tensor, p *par.Pool) []float32 {
 	out := make([]float32, x.Rows)
 	if p.Workers() <= 1 || x.Rows < minShardRows {
-		pred := net.Predict(x)
-		if pred.Cols != 1 {
-			panic("pipeline: parallelPredict1 requires a single-output network")
-		}
-		copy(out, pred.Data)
+		net.PredictInto(x, out)
 		return out
 	}
 	p.ForRange(context.Background(), x.Rows, func(_, lo, hi int) {
-		pred := net.Predict(x.SliceRows(lo, hi))
-		if pred.Cols != 1 {
-			panic("pipeline: parallelPredict1 requires a single-output network")
-		}
-		copy(out[lo:hi], pred.Data)
+		net.PredictInto(x.SliceRows(lo, hi), out[lo:hi])
 	})
 	return out
 }

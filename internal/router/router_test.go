@@ -323,16 +323,6 @@ func TestFailoverAndEjection(t *testing.T) {
 	// Kill the fake replica outright: connection-refused transport errors.
 	dead.ts.Close()
 
-	// Every request must still succeed; enough of them guarantees some
-	// would have routed to the dead replica first.
-	for i := 0; i < 12; i++ {
-		q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", i+1)
-		resp, b := postBody(t, http.DefaultClient, rts.URL+q, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d failed: %d %s", i, resp.StatusCode, b)
-		}
-	}
-	// The request-path failure streak alone must have ejected it.
 	var deadState *replicaState
 	for _, rep := range rt.replicas {
 		if rep.name == dead.ts.URL {
@@ -342,8 +332,22 @@ func TestFailoverAndEjection(t *testing.T) {
 	if deadState == nil {
 		t.Fatal("dead replica not found in router state")
 	}
-	if deadState.healthy.Load() {
-		t.Error("dead replica still marked healthy after failure streak")
+
+	// Every request must still succeed. The hash ring is built from
+	// httptest's random ports, so which requests route to the dead replica
+	// first varies from run to run: drive distinct requests until its
+	// request-path failure streak has ejected it. Each new key picks the
+	// dead replica first with probability ~1/3, so 200 keys fall short of
+	// FailThreshold only with probability ~1e-33.
+	for i := 0; deadState.healthy.Load(); i++ {
+		if i == 200 {
+			t.Fatal("dead replica still marked healthy after 200 requests")
+		}
+		q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", i+1)
+		resp, b := postBody(t, http.DefaultClient, rts.URL+q, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d failed: %d %s", i, resp.StatusCode, b)
+		}
 	}
 	if got := rt.Metrics().Counter("router_ejections").Load(); got < 1 {
 		t.Errorf("router_ejections = %d, want >= 1", got)
@@ -353,7 +357,7 @@ func TestFailoverAndEjection(t *testing.T) {
 	// no retries needed.
 	before := rt.Metrics().Counter("router_retries").Load()
 	for i := 0; i < 4; i++ {
-		q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", 100+i)
+		q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", 1000+i)
 		resp, _ := postBody(t, http.DefaultClient, rts.URL+q, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-ejection request failed: %d", resp.StatusCode)

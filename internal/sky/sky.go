@@ -160,12 +160,19 @@ func MixtureEvaluator(cfg *localize.Config, rings []*recon.Ring, bkgProb []float
 	// being mis-reconstructed junk; this floor keeps any single ring from
 	// vetoing a sky region outright (the mixture analogue of hard capping).
 	const pMin = 0.02
+	// Each ring's mixture weights do not depend on the direction: compute
+	// 1−p and p·floor once per ring rather than once per evaluation.
+	keep := make([]float64, len(rings))
+	bkg := make([]float64, len(rings))
+	for j, b := range bkgProb {
+		p := pMin + (1-pMin)*b
+		keep[j], bkg[j] = 1-p, p*floor
+	}
 	return func(d geom.Vec) float64 {
 		var ll float64
 		for j, r := range rings {
 			pull := r.Pull(d)
-			p := pMin + (1-pMin)*bkgProb[j]
-			ll += math.Log((1-p)*math.Exp(-pull*pull/2) + p*floor)
+			ll += math.Log(keep[j]*math.Exp(-pull*pull/2) + bkg[j])
 		}
 		return ll
 	}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"repro/internal/sky"
 )
 
 // Binary payload format (all integers little-endian, floats IEEE-754
@@ -218,8 +216,8 @@ func Decode(b []byte) (*Map, error) {
 	}
 	nCoarse, _ := c.u32()
 	nTiles, _ := c.u32()
-	coarse := sky.NewGrid(m.CoarseBands)
-	fine := sky.NewGrid(m.CoarseBands * m.RefineFactor)
+	geo := geometryFor(m.CoarseBands, m.RefineFactor)
+	coarse, members := geo.coarse, geo.members
 	if int(nCoarse) != coarse.NumPixels() {
 		return nil, fmt.Errorf("skymap: coarse count %d, grid has %d pixels", nCoarse, coarse.NumPixels())
 	}
@@ -231,7 +229,6 @@ func Decode(b []byte) (*Map, error) {
 		return nil, err
 	}
 	m.Coarse = append([]uint8(nil), raw...)
-	members := tileMembers(coarse, fine)
 	prev := -1
 	for t := 0; t < int(nTiles); t++ {
 		ci, err := c.u32()

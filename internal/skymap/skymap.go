@@ -17,6 +17,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/localize"
@@ -154,18 +155,16 @@ type Map struct {
 	Tiles []Tile
 
 	// Derived lookup state (rebuilt by finish, never serialized).
-	coarse, fine *sky.Grid
-	fineVal      map[int]uint16
+	geo     *geometry
+	fineVal map[int]uint16
 }
 
-// finish (re)builds the derived grids and the fine-pixel lookup.
+// finish (re)builds the derived geometry and the fine-pixel lookup.
 func (m *Map) finish() {
-	m.coarse = sky.NewGrid(m.CoarseBands)
-	m.fine = sky.NewGrid(m.CoarseBands * m.RefineFactor)
-	members := tileMembers(m.coarse, m.fine)
+	m.geo = geometryFor(m.CoarseBands, m.RefineFactor)
 	m.fineVal = make(map[int]uint16)
 	for _, t := range m.Tiles {
-		for k, j := range members[t.Coarse] {
+		for k, j := range m.geo.members[t.Coarse] {
 			if k < len(t.Values) {
 				m.fineVal[j] = t.Values[k]
 			}
@@ -173,16 +172,58 @@ func (m *Map) finish() {
 	}
 }
 
-// tileMembers assigns every fine pixel to the coarse pixel containing its
-// center: members[c] lists c's fine pixels in ascending fine-index order.
-// The assignment is a pure function of the two grids.
-func tileMembers(coarse, fine *sky.Grid) map[int][]int {
-	members := make(map[int][]int, coarse.NumPixels())
-	for j := 0; j < fine.NumPixels(); j++ {
-		c := coarse.Find(fine.Dir(j))
-		members[c] = append(members[c], j)
+// geometry is the coarse and fine grid of one (CoarseBands, RefineFactor)
+// pair and the assignment of every fine pixel to the coarse pixel
+// containing its center. It is a pure function of the pair, so one value
+// per pair is shared read-only by every Build, Decode and Map.
+type geometry struct {
+	coarse, fine *sky.Grid
+	// members[c] lists coarse pixel c's fine pixels in ascending
+	// fine-index order. Never written after construction.
+	members [][]int
+}
+
+// geometryBudget caps the fine pixels the geometry cache holds (~8 MB).
+// Every legal pair together has ~9.3 M fine pixels; past the budget a pair
+// is computed on each use, so requests cycling through pairs cannot pin
+// that much memory.
+const geometryBudget = 1 << 20
+
+var geometries struct {
+	sync.Mutex
+	byPair map[[2]int]*geometry
+	pixels int
+}
+
+// geometryFor returns the geometry of a grid pair, cached on first use
+// while the cache is under geometryBudget.
+func geometryFor(coarseBands, refineFactor int) *geometry {
+	key := [2]int{coarseBands, refineFactor}
+	geometries.Lock()
+	g := geometries.byPair[key]
+	geometries.Unlock()
+	if g != nil {
+		return g
 	}
-	return members
+	g = &geometry{coarse: sky.NewGrid(coarseBands), fine: sky.NewGrid(coarseBands * refineFactor)}
+	g.members = make([][]int, g.coarse.NumPixels())
+	for j := 0; j < g.fine.NumPixels(); j++ {
+		c := g.coarse.Find(g.fine.Dir(j))
+		g.members[c] = append(g.members[c], j)
+	}
+	geometries.Lock()
+	defer geometries.Unlock()
+	if cached := geometries.byPair[key]; cached != nil {
+		return cached
+	}
+	if geometries.pixels+g.fine.NumPixels() <= geometryBudget {
+		if geometries.byPair == nil {
+			geometries.byPair = make(map[[2]int]*geometry)
+		}
+		geometries.byPair[key] = g
+		geometries.pixels += g.fine.NumPixels()
+	}
+	return g
 }
 
 // quantize maps a relative log density v ∈ [floor, 0] onto [0, qmax].
@@ -218,8 +259,8 @@ func dequantize(q, qmax int, floor float64) float64 {
 // opts) — identical at any Workers value.
 func Build(eval func(geom.Vec) float64, opts Options) *Map {
 	opts = opts.withDefaults()
-	coarse := sky.NewGrid(opts.CoarseBands)
-	fine := sky.NewGrid(opts.CoarseBands * opts.RefineFactor)
+	geo := geometryFor(opts.CoarseBands, opts.RefineFactor)
+	coarse, fine, members := geo.coarse, geo.fine, geo.members
 	pool := par.NewPool(opts.Workers)
 	temp := opts.Temperature
 
@@ -281,7 +322,6 @@ func Build(eval func(geom.Vec) float64, opts Options) *Map {
 	sort.Ints(refined)
 
 	// Fine layer: evaluate only the member pixels of refined tiles.
-	members := tileMembers(coarse, fine)
 	var fineIdx []int
 	for _, c := range refined {
 		fineIdx = append(fineIdx, members[c]...)
@@ -392,13 +432,12 @@ func (m *Map) cells() []cell {
 		if refined[i] {
 			continue
 		}
-		out = append(out, cell{logd: dequantize(int(q), 255, floor), sr: m.coarse.PixelSr(i), idx: i})
+		out = append(out, cell{logd: dequantize(int(q), 255, floor), sr: m.geo.coarse.PixelSr(i), idx: i})
 	}
-	members := tileMembers(m.coarse, m.fine)
 	for _, t := range m.Tiles {
-		mem := members[t.Coarse]
+		mem := m.geo.members[t.Coarse]
 		for k, q := range t.Values {
-			out = append(out, cell{logd: dequantize(int(q), 65535, floor), sr: m.fine.PixelSr(mem[k]), fine: true, idx: mem[k]})
+			out = append(out, cell{logd: dequantize(int(q), 65535, floor), sr: m.geo.fine.PixelSr(mem[k]), fine: true, idx: mem[k]})
 		}
 	}
 	return out
@@ -451,10 +490,10 @@ func (m *Map) CredibleAreaDeg2(p float64) float64 {
 // at direction d: the fine layer where d falls inside an evaluated fine
 // pixel, the coarse context layer elsewhere.
 func (m *Map) LogDensity(d geom.Vec) float64 {
-	if q, ok := m.fineVal[m.fine.Find(d)]; ok {
+	if q, ok := m.fineVal[m.geo.fine.Find(d)]; ok {
 		return dequantize(int(q), 65535, float64(m.LogFloor))
 	}
-	return dequantize(int(m.Coarse[m.coarse.Find(d)]), 255, float64(m.LogFloor))
+	return dequantize(int(m.Coarse[m.geo.coarse.Find(d)]), 255, float64(m.LogFloor))
 }
 
 // Contains reports whether direction d lies inside the p credible region.

@@ -132,7 +132,7 @@ func TestRefinementCoversPeak(t *testing.T) {
 	if len(m.Tiles) == 0 {
 		t.Fatal("no refined tiles on a concentrated posterior")
 	}
-	if _, ok := m.fineVal[m.fine.Find(m.Peak())]; !ok {
+	if _, ok := m.fineVal[m.geo.fine.Find(m.Peak())]; !ok {
 		t.Error("peak direction not covered by a fine tile")
 	}
 	// Fine pixels at the mode sharpen the resolution: the fine grid has
@@ -249,4 +249,45 @@ func mustRedecode(t *testing.T, b []byte) []byte {
 		t.Fatal(err)
 	}
 	return d.Encode()
+}
+
+// TestGeometryCache: a pair's geometry partitions the fine pixels by the
+// coarse pixel containing each center, in ascending order; it is computed
+// once and shared while the cache is under budget, and pairs past the
+// budget are still correct but not retained.
+func TestGeometryCache(t *testing.T) {
+	check := func(g *geometry) {
+		t.Helper()
+		seen := 0
+		for c, mem := range g.members {
+			for k, j := range mem {
+				if g.coarse.Find(g.fine.Dir(j)) != c || (k > 0 && mem[k-1] >= j) {
+					t.Fatalf("fine pixel %d misassigned to coarse %d (position %d)", j, c, k)
+				}
+			}
+			seen += len(mem)
+		}
+		if seen != g.fine.NumPixels() {
+			t.Fatalf("members cover %d of %d fine pixels", seen, g.fine.NumPixels())
+		}
+	}
+	g := geometryFor(DefaultCoarseBands, DefaultRefineFactor)
+	check(g)
+	if geometryFor(DefaultCoarseBands, DefaultRefineFactor) != g {
+		t.Error("default geometry recomputed instead of shared")
+	}
+	// Each (b, 8) pair below has ~4·(8b)² fine pixels: together far past
+	// the budget, so the last one is not retained.
+	for b := MaxCoarseBands; b > MaxCoarseBands-6; b-- {
+		check(geometryFor(b, MaxRefineFactor))
+	}
+	last := MaxCoarseBands - 5
+	if geometryFor(last, MaxRefineFactor) == geometryFor(last, MaxRefineFactor) {
+		t.Error("pair past the cache budget was retained")
+	}
+	geometries.Lock()
+	defer geometries.Unlock()
+	if geometries.pixels > geometryBudget {
+		t.Errorf("cache holds %d fine pixels, budget %d", geometries.pixels, geometryBudget)
+	}
 }
